@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use crate::ArchError;
 
 /// How the chip implements the compute↔memory switch
 /// (`Method_{c→m}/Method_{m→c}` in Fig. 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SwitchMethod {
     /// DynaPlasia-style: drive the global input-activation lines
     /// (GIA/GIAb) high for memory mode, with IA//IA for compute (Fig. 3).
@@ -18,7 +16,7 @@ pub enum SwitchMethod {
 ///
 /// Construct with [`DualModeArch::builder`]; [`crate::presets`] provides
 /// the paper's DynaPlasia (Table 2) and PRIME configurations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DualModeArch {
     name: String,
     n_arrays: usize,

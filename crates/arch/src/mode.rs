@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Operating mode of a dual-mode CIM array (Fig. 3).
@@ -6,7 +5,7 @@ use std::fmt;
 /// In *memory* mode the array behaves as scratchpad (GIA/GIAb held high);
 /// in *compute* mode the global lines carry input activations and the
 /// array performs bit-serial MACs in place.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ArrayMode {
     /// Standard read/write scratchpad behaviour.
     Memory,
@@ -35,9 +34,7 @@ impl fmt::Display for ArrayMode {
 
 /// Identifier of a physical CIM array on the chip (dense index
 /// `0..n_arrays`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ArrayId(pub u32);
 
 impl ArrayId {

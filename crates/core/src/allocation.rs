@@ -21,12 +21,9 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-// `Condvar` comes from std: the vendored `parking_lot` stand-in hands
-// out plain `std::sync` guards, which is exactly what std's Condvar
-// waits on.
-use std::sync::{Arc, Condvar};
-
-use parking_lot::{Mutex, RwLock};
+use std::sync::{
+    Arc, Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
+};
 
 use cmswitch_solver::{alloc as fast, stable_hash64, MipProblem, Relation};
 
@@ -172,6 +169,24 @@ impl AllocatorStats {
     }
 }
 
+// Lock policy: a poisoned guard is recovered, never propagated. Every
+// update made under these guards is a whole-entry insert, remove or
+// clear, so a panic while a guard is held cannot leave an entry
+// half-written, and recovering keeps one failed compile from turning
+// every later compile on a shared cache into a panic. `solvepool`
+// follows the same policy.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A thread-safe cache of per-segment allocation results, shareable
 /// across compilations, models and threads.
 ///
@@ -242,7 +257,7 @@ struct FlightGuard<'a> {
 
 impl Drop for FlightGuard<'_> {
     fn drop(&mut self) {
-        self.cache.inflight.lock().remove(&self.hash);
+        lock(&self.cache.inflight).remove(&self.hash);
         self.cache.inflight_done.notify_all();
     }
 }
@@ -274,12 +289,12 @@ impl AllocationCache {
 
     /// Number of cached segment allocations (feasible and infeasible).
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        read(&self.map).len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
+        read(&self.map).is_empty()
     }
 
     /// Lifetime cache hits (lookups answered without a solver run).
@@ -304,7 +319,7 @@ impl AllocationCache {
 
     /// Drops every entry and resets the hit/miss counters.
     pub fn clear(&self) {
-        self.map.write().clear();
+        write(&self.map).clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
     }
@@ -323,7 +338,7 @@ impl AllocationCache {
     /// adds single-flight dedup on top of this check.)
     #[cfg(test)]
     fn get_hashed(&self, hash: u64, sig: &[u64]) -> Option<Option<SegmentAllocation>> {
-        let hit = match self.map.read().get(&hash) {
+        let hit = match read(&self.map).get(&hash) {
             Some((stored, value)) if stored == sig => Some(value.clone()),
             _ => None,
         };
@@ -347,12 +362,12 @@ impl AllocationCache {
     /// waits on a strictly shorter window, so the waits-on relation is
     /// acyclic.
     fn probe_or_begin(&self, hash: u64, sig: &[u64]) -> Flight<'_> {
-        let mut inflight = self.inflight.lock();
+        let mut inflight = lock(&self.inflight);
         loop {
             // Check the map while holding the in-flight lock: an owner
             // publishes its result to the map *before* clearing its
             // mark, so this check can never miss a completed solve.
-            if let Some((stored, value)) = self.map.read().get(&hash) {
+            if let Some((stored, value)) = read(&self.map).get(&hash) {
                 if stored == sig {
                     self.hits.fetch_add(1, Ordering::Relaxed);
                     return Flight::Hit(value.clone());
@@ -367,7 +382,7 @@ impl AllocationCache {
             inflight = self
                 .inflight_done
                 .wait(inflight)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -379,14 +394,14 @@ impl AllocationCache {
 
     fn insert_prehashed(&self, hash: u64, sig: Vec<u64>, value: Option<SegmentAllocation>) {
         debug_assert_eq!(hash, stable_hash64(&sig), "prehashed key out of sync");
-        self.map.write().insert(hash, (sig, value));
+        write(&self.map).insert(hash, (sig, value));
     }
 
     /// Snapshots every entry as `(hash, signature, result)`, sorted by
     /// hash so the export (and hence the on-disk artifact bytes) is
     /// deterministic regardless of `HashMap` iteration order.
     pub fn export_entries(&self) -> Vec<AllocEntry> {
-        let map = self.map.read();
+        let map = read(&self.map);
         let mut entries: Vec<AllocEntry> = map
             .iter()
             .map(|(&hash, (sig, value))| (hash, sig.clone(), value.clone()))
@@ -403,7 +418,7 @@ impl AllocationCache {
     /// hash lies can miss but can never serve a wrong allocation.
     /// Returns the number of entries inserted.
     pub fn import_entries(&self, entries: Vec<AllocEntry>) -> usize {
-        let mut map = self.map.write();
+        let mut map = write(&self.map);
         let mut inserted = 0;
         for (hash, sig, value) in entries {
             debug_assert_eq!(hash, stable_hash64(&sig), "imported entry hash mismatch");
@@ -434,16 +449,14 @@ struct WarmStartCache {
 
 impl WarmStartCache {
     fn get(&self, sig: &HashedSig) -> Option<Option<SegmentAllocation>> {
-        match self.map.read().get(&sig.hash) {
+        match read(&self.map).get(&sig.hash) {
             Some((stored, value)) if *stored == sig.words => Some(value.clone()),
             _ => None,
         }
     }
 
     fn insert(&self, sig: &HashedSig, value: Option<SegmentAllocation>) {
-        self.map
-            .write()
-            .insert(sig.hash, (sig.words.clone(), value));
+        write(&self.map).insert(sig.hash, (sig.words.clone(), value));
     }
 }
 
@@ -472,8 +485,7 @@ impl<'a> Allocator<'a> {
 
     /// Creates an allocator whose results are read from and written to
     /// `cache`, which outlives the allocator and may be shared across
-    /// compilations and threads (the batch-compilation path of
-    /// [`crate::CompileService`]).
+    /// compilations and threads (the [`crate::Session`] path).
     pub fn with_cache(cm: CostModel<'a>, kind: AllocatorKind, cache: Arc<AllocationCache>) -> Self {
         Self::build(cm, kind, Some(cache))
     }
@@ -1213,7 +1225,7 @@ mod tests {
         let cache = AllocationCache::new();
         let stored_sig = vec![1u64, 2, 3];
         let probe_sig = vec![4u64, 5, 6];
-        cache.map.write().insert(
+        write(&cache.map).insert(
             stable_hash64(&probe_sig),
             (stored_sig.clone(), Some(SegmentAllocation::empty())),
         );
@@ -1328,5 +1340,63 @@ mod tests {
         assert_eq!(a.total_memory(), 2);
         assert_eq!(a.arrays_used(), 6);
         assert!((a.memory_ratio() - 2.0 / 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn poisoned_locks_are_recovered_not_propagated() {
+        let g = cmswitch_models::mlp::mlp(1, &[64, 64, 64, 64]).unwrap();
+        let cache = AllocationCache::new();
+        let compile = || {
+            crate::Session::builder(presets::tiny())
+                .cache(Arc::clone(&cache))
+                .build()
+                .compile_graph(&g)
+                .unwrap()
+        };
+        let reference = compile();
+        let entries = cache.len();
+        assert!(entries > 0);
+
+        // A thread dies while holding the in-flight mutex and the map
+        // write guard, poisoning both.
+        let poisoner = Arc::clone(&cache);
+        let died = std::thread::spawn(move || {
+            let _inflight = poisoner.inflight.lock().unwrap();
+            let _map = poisoner.map.write().unwrap();
+            panic!("solver panicked inside the cache's critical sections");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(cache.inflight.is_poisoned() && cache.map.is_poisoned());
+
+        // Probe, insert and len keep working on the recovered guards.
+        assert_eq!(cache.len(), entries);
+        let sig = HashedSig::new(vec![7u64, 7, 7]);
+        match cache.probe_or_begin(sig.hash, &sig.words) {
+            Flight::Solve(guard) => {
+                cache.insert_prehashed(sig.hash, sig.words.clone(), None);
+                drop(guard);
+            }
+            Flight::Hit(_) => panic!("fresh signature must miss"),
+        }
+        assert!(matches!(
+            cache.probe_or_begin(sig.hash, &sig.words),
+            Flight::Hit(None)
+        ));
+        assert_eq!(cache.len(), entries + 1);
+
+        // A later compile sharing the cache serves the same program.
+        let again = compile();
+        assert_eq!(again.flow, reference.flow);
+        assert_eq!(again.segments, reference.segments);
+        assert_eq!(
+            again.predicted_latency.to_bits(),
+            reference.predicted_latency.to_bits()
+        );
+        assert_eq!(
+            again.stats.mip_solves + again.stats.fast_solves,
+            0,
+            "served from the cache"
+        );
     }
 }

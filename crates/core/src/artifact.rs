@@ -1,7 +1,6 @@
 //! Versioned binary wire format for compiled artifacts.
 //!
-//! The vendored `serde` is a no-op stand-in, so persistence is a small
-//! explicit codec instead of a derive: every value is written in
+//! Persistence is a small explicit codec: every value is written in
 //! little-endian with length-prefixed sequences, wrapped in a fixed
 //! header carrying a magic, a format version, an artifact kind, the
 //! payload length and an FNV-1a checksum of the payload. Two artifact

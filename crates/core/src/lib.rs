@@ -37,9 +37,7 @@
 //! [`AllocationCache`], a worker pool for batches
 //! ([`Session::compile_batch`]), deadline/token cancellation
 //! ([`CancelToken`]) and structured [`Diagnostics`] in every
-//! [`CompileOutcome`]. The [`service`] module keeps the job-oriented
-//! [`CompileService`] veneer over the same engine, and the old
-//! [`Compiler`] entry points remain as thin deprecated shims.
+//! [`CompileOutcome`]. It is the only compile entry point.
 //!
 //! # Example
 //!
@@ -72,7 +70,8 @@ pub mod frontend;
 pub mod partition;
 pub mod pipeline;
 pub mod segment;
-pub mod service;
+#[cfg(test)]
+mod service;
 pub mod session;
 pub mod solvepool;
 pub mod store;
@@ -81,15 +80,17 @@ pub mod verify;
 pub use allocation::AllocationCache;
 pub use artifact::ArtifactError;
 pub use backend::{Backend, BackendKind, CmSwitch, UnknownBackend};
-pub use compiler::{CompiledProgram, Compiler, CompileStats, SegmentPlan};
+pub use compiler::{CompiledProgram, CompileStats, SegmentPlan};
 pub use diagnostics::{DiagnosticEvent, Diagnostics};
 pub use error::CompileError;
 pub use pipeline::{
     compile_with_segmenter, EmitStage, Lowered, LowerStage, Partitioned, PartitionStage,
     PipelineCx, Segmented, SegmentStage, Stage, StageWall,
 };
-pub use service::{BatchJob, BatchOutcome, BatchReport, BatchStats, CompileService, ServiceOptions};
-pub use session::{CancelToken, CompileOutcome, CompileRequest, Session, SessionBuilder};
+pub use session::{
+    BatchOutcome, BatchReport, BatchStats, CancelToken, CompileOutcome, CompileRequest, Session,
+    SessionBuilder,
+};
 pub use store::{ArtifactStore, StoreFetch, StoreKey, StoreStats};
 pub use verify::{
     Lint, Severity, Verifier, VerifyCx, VerifyFinding, VerifyReport, VerifyStage,

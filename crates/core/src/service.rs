@@ -1,432 +1,27 @@
-//! Batch compilation service: many models, many threads, one
-//! allocation cache.
-//!
-//! Compiling a fleet of models one-by-one wastes the structure the paper
-//! itself points out (§5.6): DNNs — transformers especially — repeat
-//! identical blocks, and identical blocks across *different* models
-//! (BERT-base and BERT-large share layer shapes, LLaMA and OPT share
-//! projection shapes at equal hidden sizes) produce identical per-segment
-//! allocation problems. [`CompileService`] exploits both axes:
-//!
-//! * **Concurrency** — a batch of named graphs is compiled by a pool of
-//!   `workers` OS threads ([`std::thread::scope`]); jobs are pulled from a
-//!   shared atomic counter, so long models do not convoy short ones.
-//! * **Cross-model allocation caching** — every compilation reads and
-//!   writes one shared [`AllocationCache`], keyed by a stable hash of
-//!   `(architecture fingerprint, allocator kind, segment signature)`.
-//!   A segment seen in any earlier model — or earlier batch — skips the
-//!   MIP solve entirely and reuses the identical allocation.
-//!
-//! Cached hits return exactly what a fresh solve would have produced, so
-//! results are deterministic: the same batch compiled with 1 or 8 workers,
-//! cold or warm, yields bit-identical schedules. Two workers racing on the
-//! same segment may both solve it (best-effort dedup; both compute the
-//! same value and the insert is idempotent), which costs a duplicated
-//! solve but never correctness.
-//!
-//! # Example
-//!
-//! ```
-//! use cmswitch_arch::presets;
-//! use cmswitch_core::{BatchJob, CompileService, ServiceOptions};
-//!
-//! let service = CompileService::new(presets::tiny(), ServiceOptions::default());
-//! let jobs = vec![
-//!     BatchJob::new("a", cmswitch_models::mlp::mlp(1, &[64, 64, 64]).unwrap()),
-//!     BatchJob::new("b", cmswitch_models::mlp::mlp(1, &[64, 64, 64]).unwrap()),
-//! ];
-//! let report = service.compile_batch(&jobs);
-//! assert_eq!(report.stats.compiled, 2);
-//! // Model "b" is shape-identical to "a": its segments all hit the cache.
-//! assert!(report.stats.cache_hits > 0);
-//! ```
-
-use std::sync::Arc;
-use std::time::Duration;
-
-use cmswitch_arch::DualModeArch;
-use cmswitch_graph::Graph;
-
-use crate::allocation::AllocationCache;
-use crate::backend::Backend;
-use crate::diagnostics::Diagnostics;
-use crate::session::{BatchItem, CancelToken, Session};
-use crate::{CompileError, CompiledProgram, CompilerOptions};
-
-/// Configuration of a [`CompileService`].
-///
-/// The default is auto-sized workers (`0`) and default
-/// [`CompilerOptions`]. `#[non_exhaustive]` with `with_*` setters, so
-/// future fields are non-breaking.
-#[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ServiceOptions {
-    /// Worker threads for batch compilation. `0` means auto: the
-    /// machine's available parallelism, capped at 8.
-    pub workers: usize,
-    /// Options applied to every compilation in the service.
-    pub compiler: CompilerOptions,
-}
-
-impl ServiceOptions {
-    /// Sets the worker-thread count (`0` = auto).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Sets the per-compilation compiler options.
-    #[must_use]
-    pub fn with_compiler(mut self, compiler: CompilerOptions) -> Self {
-        self.compiler = compiler;
-        self
-    }
-}
-
-/// One named compilation request in a batch.
-#[derive(Debug, Clone)]
-pub struct BatchJob {
-    /// Display name of the model (reported back in [`BatchOutcome`]).
-    pub name: String,
-    /// The graph to compile.
-    pub graph: Graph,
-}
-
-impl BatchJob {
-    /// Creates a job compiling `graph` under `name`.
-    pub fn new(name: impl Into<String>, graph: Graph) -> Self {
-        BatchJob {
-            name: name.into(),
-            graph,
-        }
-    }
-}
-
-/// Result of one job in a batch.
-#[non_exhaustive]
-#[derive(Debug)]
-pub struct BatchOutcome {
-    /// The job's name (the request's label, or the graph's name).
-    pub name: String,
-    /// Wall-clock time this model spent compiling (on its worker).
-    pub wall: Duration,
-    /// Typed diagnostics of this job's compilation (present even when
-    /// the compilation failed).
-    pub diagnostics: Diagnostics,
-    /// The compiled program, or the per-model failure. One model failing
-    /// never sinks the rest of the batch.
-    pub result: Result<CompiledProgram, CompileError>,
-}
-
-/// Aggregate statistics of one [`CompileService::compile_batch`] call.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct BatchStats {
-    /// Wall-clock time of the whole batch (all workers).
-    pub wall: Duration,
-    /// Worker threads actually used.
-    pub workers: usize,
-    /// Models compiled successfully.
-    pub compiled: usize,
-    /// Models that failed to compile.
-    pub failed: usize,
-    /// Allocation-cache hits during the batch — each one an allocation
-    /// solve the cache saved.
-    pub cache_hits: u64,
-    /// Allocation-cache misses during the batch — each one went to a
-    /// solver. (Measured as the cache's hit/miss delta over the batch,
-    /// so if the cache is concurrently shared with *another* running
-    /// service, that service's traffic is attributed here too.)
-    pub cache_misses: u64,
-    /// MIP solves performed by the batch's *successfully compiled*
-    /// models (a model that errors mid-compilation drops its per-model
-    /// counters; its lookups still appear in the cache deltas above).
-    pub mip_solves: u64,
-    /// Fast-allocator solves performed by the batch's successfully
-    /// compiled models. Note every MIP solve also runs one embedded
-    /// fast solve as its warm start, so under
-    /// [`crate::AllocatorKind::Mip`] a single cache miss increments
-    /// both counters.
-    pub fast_solves: u64,
-    /// Segmentation-DP windows the batch's successfully compiled models
-    /// skipped without an allocator invocation ([`crate::DpMode`]).
-    pub dp_windows_pruned: u64,
-    /// MIP warm starts accepted by the batch's successfully compiled
-    /// models (solves whose seeded incumbent held).
-    pub warm_accepted: u64,
-    /// MIP warm-start candidates rejected (infeasible or wasted on a
-    /// failed solve) by the batch's successfully compiled models.
-    pub warm_rejected: u64,
-    /// Persistent-store probes answered from disk during the batch
-    /// (zero without an attached [`crate::ArtifactStore`]). Measured as
-    /// the store's counter delta, like the cache fields.
-    pub store_hits: u64,
-    /// Persistent-store probes that found no artifact during the batch.
-    pub store_misses: u64,
-    /// Per-stage wall-clock time summed across the batch's successfully
-    /// compiled models, in first-seen stage order (CPU time across
-    /// workers, so it can exceed the batch wall).
-    pub stage_wall: Vec<crate::StageWall>,
-}
-
-impl BatchStats {
-    /// Solver invocations performed by successfully compiled models
-    /// (MIP + fast, counting a MIP solve and its embedded warm-start
-    /// fast solve separately).
-    pub fn solver_invocations(&self) -> u64 {
-        self.mip_solves + self.fast_solves
-    }
-
-    /// Allocation solves the cache saved (one per hit; under the MIP
-    /// allocator each would have cost a MIP *and* its warm-start fast
-    /// solve).
-    pub fn solves_saved(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Cache hit rate over the batch's allocation lookups
-    /// (`hits / (hits + misses)`), in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let lookups = self.cache_hits + self.cache_misses;
-        if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64
-        }
-    }
-
-    /// One-line per-stage timing breakdown (empty string when no model
-    /// compiled), e.g. `lower 1.2ms · partition 0.3ms · segment 840ms ·
-    /// emit 12ms`.
-    pub fn stage_breakdown(&self) -> String {
-        self.stage_wall
-            .iter()
-            .map(|t| format!("{} {:.1?}", t.stage, t.wall))
-            .collect::<Vec<_>>()
-            .join(" · ")
-    }
-}
-
-/// Everything a batch produced: per-model outcomes in job order, plus
-/// aggregate statistics.
-#[derive(Debug)]
-pub struct BatchReport {
-    /// Per-job outcomes, in the order the jobs were submitted.
-    pub outcomes: Vec<BatchOutcome>,
-    /// Aggregate statistics.
-    pub stats: BatchStats,
-}
-
-impl BatchReport {
-    /// The outcome for the job named `name`, if present.
-    pub fn get(&self, name: &str) -> Option<&BatchOutcome> {
-        self.outcomes.iter().find(|o| o.name == name)
-    }
-
-    /// A human-readable per-model summary table (used by the
-    /// `batch_compile` example and handy in logs).
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for o in &self.outcomes {
-            match &o.result {
-                Ok(p) => {
-                    let _ = writeln!(
-                        out,
-                        "{:>14}  {:>9.1?}  {:>4} segments  {:>5} solves  {:>5} hits",
-                        o.name, o.wall, p.stats.n_segments, p.stats.mip_solves + p.stats.fast_solves, p.stats.cache_hits,
-                    );
-                }
-                Err(e) => {
-                    let _ = writeln!(out, "{:>14}  {:>9.1?}  FAILED: {e}", o.name, o.wall);
-                }
-            }
-        }
-        let s = &self.stats;
-        let _ = writeln!(
-            out,
-            "batch: {}/{} ok in {:.1?} on {} workers — {} solver invocations, {} saved by cache ({:.0}% hit rate), {} DP windows pruned",
-            s.compiled,
-            s.compiled + s.failed,
-            s.wall,
-            s.workers,
-            s.solver_invocations(),
-            s.solves_saved(),
-            s.hit_rate() * 100.0,
-            s.dp_windows_pruned,
-        );
-        if s.store_hits + s.store_misses > 0 {
-            let _ = writeln!(
-                out,
-                "store: {} served from disk, {} misses",
-                s.store_hits, s.store_misses,
-            );
-        }
-        if s.warm_accepted + s.warm_rejected > 0 {
-            let _ = writeln!(
-                out,
-                "warm starts: {} accepted, {} rejected",
-                s.warm_accepted, s.warm_rejected,
-            );
-        }
-        if !s.stage_wall.is_empty() {
-            let _ = writeln!(out, "stages (CPU time across workers): {}", s.stage_breakdown());
-        }
-        out
-    }
-}
-
-/// A compilation service for model fleets: one backend strategy, one
-/// options set, a persistent cross-model [`AllocationCache`], and a
-/// thread pool per batch. A thin job-oriented veneer over [`Session`] —
-/// the session is the primitive; the service keeps the familiar
-/// [`BatchJob`] vocabulary.
-///
-/// The service is **backend-generic**: [`CompileService::with_backend`]
-/// runs a whole baseline fleet (PUMA, OCC, CIM-MLC — any
-/// [`Backend`]) through the same worker pool, cancellation handling
-/// and [`BatchReport`] accounting as CMSwitch itself. (The shared
-/// [`AllocationCache`] speeds up allocator-backed compiles — CMSwitch's
-/// dual-mode MIP/fast solves; the baselines' closed-form all-compute
-/// allocations never consult it.)
-///
-/// The cache persists across [`CompileService::compile_batch`] calls, so
-/// a service that has compiled a fleet once recompiles it (or compiles
-/// shape-related models) mostly from cache — the *warm-cache* path the
-/// `bench_service` benchmark measures. Share one cache between services
-/// targeting different chips freely: keys embed the architecture
-/// fingerprint, so entries never leak across architectures.
-#[derive(Debug)]
-pub struct CompileService {
-    session: Session,
-}
-
-impl CompileService {
-    /// Creates a CMSwitch service for `arch` with a fresh empty cache.
-    pub fn new(arch: DualModeArch, options: ServiceOptions) -> Self {
-        Self::with_cache(arch, options, AllocationCache::new())
-    }
-
-    /// Creates a CMSwitch service reading and writing an existing
-    /// (possibly already warm, possibly shared) cache.
-    pub fn with_cache(
-        arch: DualModeArch,
-        options: ServiceOptions,
-        cache: Arc<AllocationCache>,
-    ) -> Self {
-        CompileService {
-            session: Session::builder(arch)
-                .options(options.compiler)
-                .workers(options.workers)
-                .cache(cache)
-                .build(),
-        }
-    }
-
-    /// Creates a service compiling through an arbitrary [`Backend`]
-    /// strategy (the backend brings its architecture), with a fresh
-    /// cache.
-    pub fn with_backend(backend: Box<dyn Backend>, options: ServiceOptions) -> Self {
-        let arch = backend.arch().clone();
-        CompileService {
-            session: Session::builder(arch)
-                .backend(backend)
-                .options(options.compiler)
-                .workers(options.workers)
-                .build(),
-        }
-    }
-
-    /// Wraps an existing session (any backend, any cache) as a service.
-    pub fn from_session(session: Session) -> Self {
-        CompileService { session }
-    }
-
-    /// The underlying session (the richer request-oriented surface).
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// The target architecture.
-    pub fn arch(&self) -> &DualModeArch {
-        self.session.arch()
-    }
-
-    /// The backend strategy's name.
-    pub fn backend_name(&self) -> &str {
-        self.session.backend_name()
-    }
-
-    /// The worker-thread count used by [`CompileService::compile_batch`].
-    pub fn workers(&self) -> usize {
-        self.session.workers()
-    }
-
-    /// The shared allocation cache (inspect hit counters, pre-warm it, or
-    /// hand it to another service).
-    pub fn cache(&self) -> &Arc<AllocationCache> {
-        self.session.cache()
-    }
-
-    /// Compiles a single graph through the shared cache.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the backend's [`CompileError`].
-    pub fn compile(&self, graph: &Graph) -> Result<CompiledProgram, CompileError> {
-        self.session.compile_graph(graph)
-    }
-
-    /// Compiles a batch of named graphs concurrently.
-    ///
-    /// Jobs are distributed dynamically over the worker pool (an atomic
-    /// work-stealing counter), every job compiles through the shared
-    /// cache, and per-model failures are reported in the job's
-    /// [`BatchOutcome`] without affecting the others. Outcomes are
-    /// returned in submission order regardless of completion order. An
-    /// empty job slice returns an empty report without entering the
-    /// worker pool at all.
-    pub fn compile_batch(&self, jobs: &[BatchJob]) -> BatchReport {
-        let items: Vec<BatchItem<'_>> = jobs
-            .iter()
-            .map(|job| BatchItem {
-                name: &job.name,
-                graph: &job.graph,
-                options: None,
-                cancel: CancelToken::new(),
-            })
-            .collect();
-        self.session.compile_batch_items(&items)
-    }
-}
-
-impl From<Session> for CompileService {
-    fn from(session: Session) -> Self {
-        CompileService::from_session(session)
-    }
-}
+//! Regression tests for [`Session`](crate::session::Session) used as a
+//! batch compile service: job order, per-model failure isolation, the
+//! empty-batch early return, backend-generic batches and single
+//! compiles through the shared allocation cache.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use std::time::Duration;
+
     use cmswitch_arch::presets;
+    use cmswitch_graph::Graph;
     use cmswitch_models::mlp::mlp;
 
-    fn service(workers: usize) -> CompileService {
-        CompileService::new(
-            presets::tiny(),
-            ServiceOptions {
-                workers,
-                ..ServiceOptions::default()
-            },
-        )
+    use crate::session::{CompileRequest, Session};
+
+    fn service(workers: usize) -> Session {
+        Session::builder(presets::tiny()).workers(workers).build()
     }
 
-    fn fleet() -> Vec<BatchJob> {
+    fn fleet() -> Vec<CompileRequest> {
         vec![
-            BatchJob::new("mlp-a", mlp(1, &[64, 64, 64, 64]).unwrap()),
-            BatchJob::new("mlp-b", mlp(1, &[64, 64, 64, 64]).unwrap()),
-            BatchJob::new("mlp-c", mlp(2, &[128, 256, 128]).unwrap()),
+            CompileRequest::new(mlp(1, &[64, 64, 64, 64]).unwrap()).with_label("mlp-a"),
+            CompileRequest::new(mlp(1, &[64, 64, 64, 64]).unwrap()).with_label("mlp-b"),
+            CompileRequest::new(mlp(2, &[128, 256, 128]).unwrap()).with_label("mlp-c"),
         ]
     }
 
@@ -444,107 +39,12 @@ mod tests {
     }
 
     #[test]
-    fn identical_models_share_allocations() {
-        // mlp-b is shape-identical to mlp-a: every one of its segment
-        // lookups must hit the cache entry mlp-a populated.
-        let svc = service(1);
-        let report = svc.compile_batch(&fleet());
-        let a = report.get("mlp-a").unwrap().result.as_ref().unwrap();
-        let b = report.get("mlp-b").unwrap().result.as_ref().unwrap();
-        assert!(b.stats.mip_solves + b.stats.fast_solves < a.stats.mip_solves + a.stats.fast_solves);
-        assert_eq!(a.predicted_latency, b.predicted_latency);
-        assert!(report.stats.hit_rate() > 0.0);
-        assert_eq!(report.stats.solves_saved(), report.stats.cache_hits);
-    }
-
-    #[test]
-    fn warm_batch_saves_solver_invocations_and_matches_cold() {
-        let svc = service(2);
-        let cold = svc.compile_batch(&fleet());
-        let warm = svc.compile_batch(&fleet());
-        assert!(
-            warm.stats.solver_invocations() < cold.stats.solver_invocations(),
-            "warm {} vs cold {}",
-            warm.stats.solver_invocations(),
-            cold.stats.solver_invocations()
-        );
-        // Determinism: cached results are exactly what fresh solves give.
-        for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
-            let (c, w) = (c.result.as_ref().unwrap(), w.result.as_ref().unwrap());
-            assert_eq!(c.predicted_latency, w.predicted_latency);
-            assert_eq!(c.segments, w.segments);
-        }
-    }
-
-    #[test]
-    fn worker_count_does_not_change_results() {
-        let jobs = fleet();
-        let serial = service(1).compile_batch(&jobs);
-        let parallel = service(4).compile_batch(&jobs);
-        assert!(parallel.stats.workers <= 3, "clamped to job count");
-        for (a, b) in serial.outcomes.iter().zip(&parallel.outcomes) {
-            let (a, b) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
-            assert_eq!(a.predicted_latency, b.predicted_latency);
-            assert_eq!(a.flow, b.flow);
-        }
-    }
-
-    #[test]
-    fn mip_hit_rate_counts_lookups_not_solver_runs() {
-        // Under the MIP allocator every cache miss runs one MIP solve
-        // plus its embedded warm-start fast solve. The hit rate must be
-        // computed over lookups (hits + misses), not solver runs, or it
-        // would under-report by up to 2x on the default options.
-        let report = service(1).compile_batch(&fleet());
-        let s = &report.stats;
-        assert!(s.mip_solves > 0);
-        // Every model compiles, so per-model solve sums line up exactly
-        // with the batch's cache-miss delta.
-        assert_eq!(s.cache_misses, s.mip_solves, "one MIP-path solve per miss");
-        assert_eq!(s.fast_solves, s.mip_solves, "one embedded warm start per MIP solve");
-        assert!(s.cache_hits > 0);
-        let over_lookups = s.cache_hits as f64 / (s.cache_hits + s.cache_misses) as f64;
-        assert!((s.hit_rate() - over_lookups).abs() < 1e-12);
-        let over_solver_runs =
-            s.cache_hits as f64 / (s.cache_hits + s.solver_invocations()) as f64;
-        assert!(s.hit_rate() > over_solver_runs);
-    }
-
-    #[test]
-    fn batch_aggregates_stage_timings() {
-        let report = service(2).compile_batch(&fleet());
-        let names: Vec<_> = report.stats.stage_wall.iter().map(|t| t.stage).collect();
-        assert_eq!(names, ["lower", "partition", "segment", "emit"]);
-        // Aggregated per-stage CPU time equals the sum over models.
-        let per_model: std::time::Duration = report
-            .outcomes
-            .iter()
-            .filter_map(|o| o.result.as_ref().ok())
-            .flat_map(|p| p.stats.stage_wall.iter())
-            .filter(|t| t.stage == "segment")
-            .map(|t| t.wall)
-            .sum();
-        let aggregated = report
-            .stats
-            .stage_wall
-            .iter()
-            .find(|t| t.stage == "segment")
-            .unwrap()
-            .wall;
-        assert_eq!(per_model, aggregated);
-        let breakdown = report.stats.stage_breakdown();
-        assert!(breakdown.contains("segment"), "{breakdown}");
-        assert!(report.summary().contains("stages"), "{}", report.summary());
-    }
-
-    #[test]
     fn per_model_failure_does_not_sink_batch() {
-        use cmswitch_graph::Graph;
-        let jobs = vec![
-            BatchJob::new("empty", Graph::from_nodes("empty", Vec::new())),
-            BatchJob::new("ok", mlp(1, &[64, 64]).unwrap()),
+        let requests = vec![
+            CompileRequest::new(Graph::from_nodes("empty", Vec::new())),
+            CompileRequest::new(mlp(1, &[64, 64]).unwrap()).with_label("ok"),
         ];
-        let report = service(2).compile_batch(&jobs);
+        let report = service(2).compile_batch(&requests);
         assert_eq!(report.stats.compiled, 1);
         assert_eq!(report.stats.failed, 1);
         assert!(report.get("empty").unwrap().result.is_err());
@@ -554,7 +54,7 @@ mod tests {
 
     #[test]
     fn empty_batch_returns_early_without_a_worker_pool() {
-        // Regression: an empty job slice used to enter `thread::scope`
+        // Regression: an empty request slice used to enter `thread::scope`
         // with one clamped worker; it must early-return instead.
         let report = service(3).compile_batch(&[]);
         assert!(report.outcomes.is_empty());
@@ -566,14 +66,12 @@ mod tests {
 
     #[test]
     fn generic_backend_service_matches_standalone_compiles() {
-        // The service is backend-generic: a non-default backend (here
-        // CMSwitch constructed explicitly through the generic path) gets
-        // the same pool + cache + report machinery.
-        let backend = crate::CmSwitch::new(presets::tiny());
-        let svc = CompileService::with_backend(
-            Box::new(backend),
-            ServiceOptions::default().with_workers(2),
-        );
+        // Batching is backend-generic: a backend handed to the builder
+        // explicitly gets the same pool + cache + report machinery.
+        let svc = Session::builder(presets::tiny())
+            .backend(Box::new(crate::CmSwitch::new(presets::tiny())))
+            .workers(2)
+            .build();
         assert_eq!(svc.backend_name(), "cmswitch");
         let report = svc.compile_batch(&fleet());
         assert_eq!(report.stats.compiled, 3);
@@ -590,67 +88,15 @@ mod tests {
     }
 
     #[test]
-    fn cache_survives_batches_and_is_shareable() {
-        let svc = service(1);
-        let _ = svc.compile_batch(&fleet());
-        let entries = svc.cache().len();
-        assert!(entries > 0);
-        // A second service on the same chip reuses the warm cache.
-        let svc2 = CompileService::with_cache(
-            presets::tiny(),
-            ServiceOptions::default(),
-            Arc::clone(svc.cache()),
-        );
-        let report = svc2.compile_batch(&fleet());
-        assert_eq!(report.stats.mip_solves + report.stats.fast_solves, 0);
-        assert_eq!(report.stats.hit_rate(), 1.0);
-    }
-
-    #[test]
-    fn summary_surfaces_store_and_warm_start_traffic() {
-        let dir = std::env::temp_dir().join(format!(
-            "cmswitch-service-store-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = crate::ArtifactStore::open(&dir).unwrap();
-        let svc = CompileService::from_session(
-            Session::builder(presets::tiny()).store(store).workers(1).build(),
-        );
-        let cold = svc.compile_batch(&fleet());
-        // mlp-a and mlp-b are content-identical, so with one worker the
-        // second job already hits the artifact the first one wrote —
-        // content addressing dedups even inside a cold batch.
-        assert_eq!(cold.stats.store_misses, 2);
-        assert_eq!(cold.stats.store_hits, 1);
-        assert!(
-            cold.stats.warm_accepted + cold.stats.warm_rejected > 0,
-            "default MIP allocator attempts warm starts"
-        );
-        let summary = cold.summary();
-        assert!(summary.contains("store:"), "{summary}");
-        assert!(summary.contains("warm starts:"), "{summary}");
-
-        // A fresh session on the same directory is a process restart in
-        // miniature: every model serves from disk, zero solver work.
-        let store2 = crate::ArtifactStore::open(&dir).unwrap();
-        let svc2 = CompileService::from_session(
-            Session::builder(presets::tiny()).store(store2).workers(1).build(),
-        );
-        let warm = svc2.compile_batch(&fleet());
-        assert_eq!(warm.stats.store_hits, 3);
-        assert_eq!(warm.stats.solver_invocations(), 0);
-        assert!(warm.summary().contains("served from disk"), "{}", warm.summary());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn single_compile_goes_through_cache() {
         let svc = service(1);
         let g = mlp(1, &[64, 64, 64]).unwrap();
-        let p1 = svc.compile(&g).unwrap();
-        let p2 = svc.compile(&g).unwrap();
-        assert!(p2.stats.mip_solves + p2.stats.fast_solves < p1.stats.mip_solves + p1.stats.fast_solves);
+        let p1 = svc.compile_graph(&g).unwrap();
+        let p2 = svc.compile_graph(&g).unwrap();
+        assert!(
+            p2.stats.mip_solves + p2.stats.fast_solves
+                < p1.stats.mip_solves + p1.stats.fast_solves
+        );
         assert_eq!(p1.predicted_latency, p2.predicted_latency);
     }
 }

@@ -45,20 +45,18 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use cmswitch_arch::DualModeArch;
 use cmswitch_graph::Graph;
-use parking_lot::Mutex;
 
 use crate::allocation::AllocationCache;
 use crate::backend::{Backend, CmSwitch};
 use crate::compiler::CompiledProgram;
 use crate::diagnostics::{DiagnosticEvent, Diagnostics};
 use crate::pipeline::{PipelineCx, StageWall};
-use crate::service::{BatchOutcome, BatchReport, BatchStats};
 use crate::store::{ArtifactStore, StoreFetch, StoreKey};
 use crate::verify::Verifier;
 use crate::{CompileError, CompilerOptions};
@@ -239,6 +237,179 @@ impl CompileOutcome {
     }
 }
 
+/// Result of one request in a batch.
+#[non_exhaustive]
+#[derive(Debug)]
+pub struct BatchOutcome {
+    /// The request's name (its label, or the graph's name).
+    pub name: String,
+    /// Wall-clock time this model spent compiling (on its worker).
+    pub wall: Duration,
+    /// Typed diagnostics of this request's compilation (present even
+    /// when the compilation failed).
+    pub diagnostics: Diagnostics,
+    /// The compiled program, or the per-model failure. One model failing
+    /// never sinks the rest of the batch.
+    pub result: Result<CompiledProgram, CompileError>,
+}
+
+/// Aggregate statistics of one [`Session::compile_batch`] call.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct BatchStats {
+    /// Wall-clock time of the whole batch (all workers).
+    pub wall: Duration,
+    /// Worker threads actually used.
+    pub workers: usize,
+    /// Models compiled successfully.
+    pub compiled: usize,
+    /// Models that failed to compile.
+    pub failed: usize,
+    /// Allocation-cache hits during the batch — each one an allocation
+    /// solve the cache saved.
+    pub cache_hits: u64,
+    /// Allocation-cache misses during the batch — each one went to a
+    /// solver. (Measured as the cache's hit/miss delta over the batch,
+    /// so if the cache is concurrently shared with *another* running
+    /// session, that session's traffic is attributed here too.)
+    pub cache_misses: u64,
+    /// MIP solves performed by the batch's *successfully compiled*
+    /// models (a model that errors mid-compilation drops its per-model
+    /// counters; its lookups still appear in the cache deltas above).
+    pub mip_solves: u64,
+    /// Fast-allocator solves performed by the batch's successfully
+    /// compiled models. Note every MIP solve also runs one embedded
+    /// fast solve as its warm start, so under
+    /// [`crate::AllocatorKind::Mip`] a single cache miss increments
+    /// both counters.
+    pub fast_solves: u64,
+    /// Segmentation-DP windows the batch's successfully compiled models
+    /// skipped without an allocator invocation ([`crate::DpMode`]).
+    pub dp_windows_pruned: u64,
+    /// MIP warm starts accepted by the batch's successfully compiled
+    /// models (solves whose seeded incumbent held).
+    pub warm_accepted: u64,
+    /// MIP warm-start candidates rejected (infeasible or wasted on a
+    /// failed solve) by the batch's successfully compiled models.
+    pub warm_rejected: u64,
+    /// Persistent-store probes answered from disk during the batch
+    /// (zero without an attached [`crate::ArtifactStore`]). Measured as
+    /// the store's counter delta, like the cache fields.
+    pub store_hits: u64,
+    /// Persistent-store probes that found no artifact during the batch.
+    pub store_misses: u64,
+    /// Per-stage wall-clock time summed across the batch's successfully
+    /// compiled models, in first-seen stage order (CPU time across
+    /// workers, so it can exceed the batch wall).
+    pub stage_wall: Vec<StageWall>,
+}
+
+impl BatchStats {
+    /// Solver invocations performed by successfully compiled models
+    /// (MIP + fast, counting a MIP solve and its embedded warm-start
+    /// fast solve separately).
+    pub fn solver_invocations(&self) -> u64 {
+        self.mip_solves + self.fast_solves
+    }
+
+    /// Allocation solves the cache saved (one per hit; under the MIP
+    /// allocator each would have cost a MIP *and* its warm-start fast
+    /// solve).
+    pub fn solves_saved(&self) -> u64 {
+        self.cache_hits
+    }
+
+    /// Cache hit rate over the batch's allocation lookups
+    /// (`hits / (hits + misses)`), in `[0, 1]`.
+    pub fn hit_rate(&self) -> f64 {
+        let lookups = self.cache_hits + self.cache_misses;
+        if lookups == 0 {
+            0.0
+        } else {
+            self.cache_hits as f64 / lookups as f64
+        }
+    }
+
+    /// One-line per-stage timing breakdown (empty string when no model
+    /// compiled), e.g. `lower 1.2ms · partition 0.3ms · segment 840ms ·
+    /// emit 12ms`.
+    pub fn stage_breakdown(&self) -> String {
+        self.stage_wall
+            .iter()
+            .map(|t| format!("{} {:.1?}", t.stage, t.wall))
+            .collect::<Vec<_>>()
+            .join(" · ")
+    }
+}
+
+/// Everything a batch produced: per-model outcomes in request order,
+/// plus aggregate statistics.
+#[derive(Debug)]
+pub struct BatchReport {
+    /// Per-request outcomes, in the order the requests were submitted.
+    pub outcomes: Vec<BatchOutcome>,
+    /// Aggregate statistics.
+    pub stats: BatchStats,
+}
+
+impl BatchReport {
+    /// The outcome for the request named `name`, if present.
+    pub fn get(&self, name: &str) -> Option<&BatchOutcome> {
+        self.outcomes.iter().find(|o| o.name == name)
+    }
+
+    /// A human-readable per-model summary table (used by the
+    /// `batch_compile` example and handy in logs).
+    pub fn summary(&self) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::new();
+        for o in &self.outcomes {
+            match &o.result {
+                Ok(p) => {
+                    let _ = writeln!(
+                        out,
+                        "{:>14}  {:>9.1?}  {:>4} segments  {:>5} solves  {:>5} hits",
+                        o.name, o.wall, p.stats.n_segments, p.stats.mip_solves + p.stats.fast_solves, p.stats.cache_hits,
+                    );
+                }
+                Err(e) => {
+                    let _ = writeln!(out, "{:>14}  {:>9.1?}  FAILED: {e}", o.name, o.wall);
+                }
+            }
+        }
+        let s = &self.stats;
+        let _ = writeln!(
+            out,
+            "batch: {}/{} ok in {:.1?} on {} workers — {} solver invocations, {} saved by cache ({:.0}% hit rate), {} DP windows pruned",
+            s.compiled,
+            s.compiled + s.failed,
+            s.wall,
+            s.workers,
+            s.solver_invocations(),
+            s.solves_saved(),
+            s.hit_rate() * 100.0,
+            s.dp_windows_pruned,
+        );
+        if s.store_hits + s.store_misses > 0 {
+            let _ = writeln!(
+                out,
+                "store: {} served from disk, {} misses",
+                s.store_hits, s.store_misses,
+            );
+        }
+        if s.warm_accepted + s.warm_rejected > 0 {
+            let _ = writeln!(
+                out,
+                "warm starts: {} accepted, {} rejected",
+                s.warm_accepted, s.warm_rejected,
+            );
+        }
+        if !s.stage_wall.is_empty() {
+            let _ = writeln!(out, "stages (CPU time across workers): {}", s.stage_breakdown());
+        }
+        out
+    }
+}
+
 /// Builder for a [`Session`]: architecture first, everything else
 /// optional.
 pub struct SessionBuilder {
@@ -366,16 +537,6 @@ pub struct Session {
     store: Option<Arc<ArtifactStore>>,
 }
 
-/// One borrowed unit of batch work — how both [`Session::compile_batch`]
-/// and [`crate::CompileService::compile_batch`] feed the worker pool
-/// without cloning graphs.
-pub(crate) struct BatchItem<'a> {
-    pub(crate) name: &'a str,
-    pub(crate) graph: &'a Graph,
-    pub(crate) options: Option<&'a CompilerOptions>,
-    pub(crate) cancel: CancelToken,
-}
-
 impl Session {
     /// Starts building a session for `arch`.
     pub fn builder(arch: DualModeArch) -> SessionBuilder {
@@ -486,8 +647,7 @@ impl Session {
     }
 
     /// Compiles a borrowed graph with session defaults, returning just
-    /// the program — the drop-in replacement for the deprecated
-    /// `Compiler::compile` / `compile_with_cache`.
+    /// the program.
     ///
     /// # Errors
     ///
@@ -506,58 +666,55 @@ impl Session {
     /// request up. An empty slice returns an empty report without
     /// spinning up any worker.
     pub fn compile_batch(&self, requests: &[CompileRequest]) -> BatchReport {
-        let items: Vec<BatchItem<'_>> = requests
-            .iter()
-            .map(|r| BatchItem {
-                name: r.display_name(),
-                graph: &r.graph,
-                options: r.options.as_ref(),
-                cancel: r.effective_cancel(),
-            })
-            .collect();
-        self.compile_batch_items(&items)
-    }
-
-    /// The engine under both batch entry points.
-    pub(crate) fn compile_batch_items(&self, items: &[BatchItem<'_>]) -> BatchReport {
-        if items.is_empty() {
+        if requests.is_empty() {
             return BatchReport {
                 outcomes: Vec::new(),
                 stats: BatchStats::default(),
             };
         }
+        let cancels: Vec<CancelToken> = requests
+            .iter()
+            .map(CompileRequest::effective_cancel)
+            .collect();
         let start = Instant::now();
         let (hits_before, misses_before) = (self.cache.hits(), self.cache.misses());
         let store_before = self.store.as_ref().map(|s| s.stats());
-        let workers = self.workers.clamp(1, items.len());
+        let workers = self.workers.clamp(1, requests.len());
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<BatchOutcome>>> =
-            items.iter().map(|_| Mutex::new(None)).collect();
+            requests.iter().map(|_| Mutex::new(None)).collect();
 
         thread::scope(|s| {
             for _ in 0..workers {
                 s.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
+                    let Some(request) = requests.get(i) else {
+                        break;
+                    };
                     let t = Instant::now();
                     let (result, diagnostics) = self.run_one(
-                        item.graph,
-                        item.options.unwrap_or(&self.options),
-                        &item.cancel,
+                        &request.graph,
+                        request.options.as_ref().unwrap_or(&self.options),
+                        &cancels[i],
                     );
-                    *slots[i].lock() = Some(BatchOutcome {
-                        name: item.name.to_string(),
+                    let outcome = BatchOutcome {
+                        name: request.display_name().to_string(),
                         wall: t.elapsed(),
                         diagnostics,
                         result,
-                    });
+                    };
+                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
                 });
             }
         });
 
         let outcomes: Vec<BatchOutcome> = slots
             .into_iter()
-            .map(|slot| slot.into_inner().expect("every job slot filled by scope exit"))
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .expect("every request slot filled by scope exit")
+            })
             .collect();
 
         let mut stats = BatchStats {
@@ -721,6 +878,19 @@ mod tests {
         mlp(2, &[128, 256, 128]).unwrap()
     }
 
+    fn session(workers: usize) -> Session {
+        Session::builder(presets::tiny()).workers(workers).build()
+    }
+
+    /// Three models, the first two shape-identical.
+    fn fleet() -> Vec<CompileRequest> {
+        vec![
+            CompileRequest::new(mlp(1, &[64, 64, 64, 64]).unwrap()).with_label("mlp-a"),
+            CompileRequest::new(mlp(1, &[64, 64, 64, 64]).unwrap()).with_label("mlp-b"),
+            CompileRequest::new(mlp(2, &[128, 256, 128]).unwrap()).with_label("mlp-c"),
+        ]
+    }
+
     #[test]
     fn session_compiles_with_default_backend() {
         let session = Session::builder(presets::tiny()).build();
@@ -851,6 +1021,156 @@ mod tests {
         assert!(report.get("empty").unwrap().result.is_err());
         assert!(report.get("ok").unwrap().result.is_ok());
         assert!(!report.get("ok").unwrap().diagnostics.is_empty());
+    }
+
+    #[test]
+    fn identical_models_share_allocations() {
+        // mlp-b is shape-identical to mlp-a: every one of its segment
+        // lookups must hit the cache entry mlp-a populated.
+        let report = session(1).compile_batch(&fleet());
+        let a = report.get("mlp-a").unwrap().result.as_ref().unwrap();
+        let b = report.get("mlp-b").unwrap().result.as_ref().unwrap();
+        assert!(
+            b.stats.mip_solves + b.stats.fast_solves < a.stats.mip_solves + a.stats.fast_solves
+        );
+        assert_eq!(a.predicted_latency, b.predicted_latency);
+        assert!(report.stats.hit_rate() > 0.0);
+        assert_eq!(report.stats.solves_saved(), report.stats.cache_hits);
+    }
+
+    #[test]
+    fn warm_batch_saves_solver_invocations_and_matches_cold() {
+        let session = session(2);
+        let cold = session.compile_batch(&fleet());
+        let warm = session.compile_batch(&fleet());
+        assert!(
+            warm.stats.solver_invocations() < cold.stats.solver_invocations(),
+            "warm {} vs cold {}",
+            warm.stats.solver_invocations(),
+            cold.stats.solver_invocations()
+        );
+        // Determinism: cached results are exactly what fresh solves give.
+        for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
+            let (c, w) = (c.result.as_ref().unwrap(), w.result.as_ref().unwrap());
+            assert_eq!(c.predicted_latency, w.predicted_latency);
+            assert_eq!(c.segments, w.segments);
+        }
+    }
+
+    #[test]
+    fn worker_count_does_not_change_results() {
+        let requests = fleet();
+        let serial = session(1).compile_batch(&requests);
+        let parallel = session(4).compile_batch(&requests);
+        assert!(parallel.stats.workers <= 3, "clamped to request count");
+        for (a, b) in serial.outcomes.iter().zip(&parallel.outcomes) {
+            let (a, b) = (a.result.as_ref().unwrap(), b.result.as_ref().unwrap());
+            assert_eq!(a.predicted_latency, b.predicted_latency);
+            assert_eq!(a.flow, b.flow);
+        }
+    }
+
+    #[test]
+    fn mip_hit_rate_counts_lookups_not_solver_runs() {
+        // Under the MIP allocator every cache miss runs one MIP solve
+        // plus its embedded warm-start fast solve. The hit rate must be
+        // computed over lookups (hits + misses), not solver runs, or it
+        // would under-report by up to 2x on the default options.
+        let report = session(1).compile_batch(&fleet());
+        let s = &report.stats;
+        assert!(s.mip_solves > 0);
+        // Every model compiles, so per-model solve sums line up exactly
+        // with the batch's cache-miss delta.
+        assert_eq!(s.cache_misses, s.mip_solves, "one MIP-path solve per miss");
+        assert_eq!(
+            s.fast_solves, s.mip_solves,
+            "one embedded warm start per MIP solve"
+        );
+        assert!(s.cache_hits > 0);
+        let over_lookups = s.cache_hits as f64 / (s.cache_hits + s.cache_misses) as f64;
+        assert!((s.hit_rate() - over_lookups).abs() < 1e-12);
+        let over_solver_runs = s.cache_hits as f64 / (s.cache_hits + s.solver_invocations()) as f64;
+        assert!(s.hit_rate() > over_solver_runs);
+    }
+
+    #[test]
+    fn batch_aggregates_stage_timings() {
+        let report = session(2).compile_batch(&fleet());
+        let names: Vec<_> = report.stats.stage_wall.iter().map(|t| t.stage).collect();
+        assert_eq!(names, ["lower", "partition", "segment", "emit"]);
+        // Aggregated per-stage CPU time equals the sum over models.
+        let per_model: Duration = report
+            .outcomes
+            .iter()
+            .filter_map(|o| o.result.as_ref().ok())
+            .flat_map(|p| p.stats.stage_wall.iter())
+            .filter(|t| t.stage == "segment")
+            .map(|t| t.wall)
+            .sum();
+        let aggregated = report
+            .stats
+            .stage_wall
+            .iter()
+            .find(|t| t.stage == "segment")
+            .unwrap()
+            .wall;
+        assert_eq!(per_model, aggregated);
+        let breakdown = report.stats.stage_breakdown();
+        assert!(breakdown.contains("segment"), "{breakdown}");
+        assert!(report.summary().contains("stages"), "{}", report.summary());
+    }
+
+    #[test]
+    fn cache_survives_batches_and_is_shareable() {
+        let first = session(1);
+        let _ = first.compile_batch(&fleet());
+        assert!(!first.cache().is_empty());
+        // A second session on the same chip reuses the warm cache.
+        let second = Session::builder(presets::tiny())
+            .cache(Arc::clone(first.cache()))
+            .build();
+        let report = second.compile_batch(&fleet());
+        assert_eq!(report.stats.solver_invocations(), 0);
+        assert_eq!(report.stats.hit_rate(), 1.0);
+    }
+
+    #[test]
+    fn summary_surfaces_store_and_warm_start_traffic() {
+        let dir =
+            std::env::temp_dir().join(format!("cmswitch-session-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let with_store = || {
+            let store = ArtifactStore::open(&dir).unwrap();
+            Session::builder(presets::tiny())
+                .store(store)
+                .workers(1)
+                .build()
+        };
+        let cold = with_store().compile_batch(&fleet());
+        // mlp-a and mlp-b are content-identical, so with one worker the
+        // second request already hits the artifact the first one wrote —
+        // content addressing dedups even inside a cold batch.
+        assert_eq!(cold.stats.store_misses, 2);
+        assert_eq!(cold.stats.store_hits, 1);
+        assert!(
+            cold.stats.warm_accepted + cold.stats.warm_rejected > 0,
+            "default MIP allocator attempts warm starts"
+        );
+        let summary = cold.summary();
+        assert!(summary.contains("store:"), "{summary}");
+        assert!(summary.contains("warm starts:"), "{summary}");
+
+        // A fresh session on the same directory is a process restart in
+        // miniature: every model serves from disk, zero solver work.
+        let warm = with_store().compile_batch(&fleet());
+        assert_eq!(warm.stats.store_hits, 3);
+        assert_eq!(warm.stats.solver_invocations(), 0);
+        assert!(
+            warm.summary().contains("served from disk"),
+            "{}",
+            warm.summary()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -5,12 +5,10 @@
 //! 6), per-layer FLOPs, and data volumes. All byte counts assume the
 //! paper's 8-bit quantization (1 byte per weight/activation element).
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Graph, GraphError, Node, NodeId, OpKind};
 
 /// Per-node compute and data-movement profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeProfile {
     /// Multiply-accumulate operations.
     pub macs: u64,
@@ -53,7 +51,7 @@ impl NodeProfile {
 }
 
 /// Aggregate profile of a whole graph.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphProfile {
     /// Sum of node MACs.
     pub macs: u64,
@@ -79,7 +77,7 @@ impl GraphProfile {
 }
 
 /// Coarse operator classes used by Fig. 6(b)'s breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpClass {
     /// Attention Q/K/V projections.
     MhaQkv,

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 use crate::{GraphError, Node, NodeId};
@@ -7,8 +6,7 @@ use crate::{GraphError, Node, NodeId};
 ///
 /// Constructed through [`crate::GraphBuilder`]; by construction every
 /// node's inputs precede it, shapes are inferred, and the graph is acyclic.
-/// Deserialized graphs are re-validated with [`Graph::validate`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Graph {
     name: String,
     nodes: Vec<Node>,
@@ -242,8 +240,7 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_shape() {
-        // Ensure Graph's serde derives stay wired up (used by IR dumps).
+    fn clone_is_equal_and_keeps_op_kinds() {
         let g = diamond();
         let cloned = g.clone();
         assert_eq!(g, cloned);

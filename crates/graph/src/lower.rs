@@ -14,7 +14,6 @@
 //! * non-CIM operators (softmax, norms, activations, elementwise) are
 //!   attached to their nearest upstream CIM operator as vector-unit work.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 use crate::{Graph, GraphError, NodeId, OpKind};
@@ -24,7 +23,7 @@ use crate::{Graph, GraphError, NodeId, OpKind};
 /// The operator consists of `units` independent `[M,K]·[K,N]` matrix
 /// multiplications (`units > 1` for grouped convolutions and batched
 /// dynamic matmuls). Totals (MACs, bytes) are across all units.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CimOp {
     /// Originating graph node.
     pub node: NodeId,
@@ -69,7 +68,7 @@ impl CimOp {
 }
 
 /// Output of lowering: the CIM operator list plus dependency structure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoweredGraph {
     /// CIM operators in topological order.
     pub ops: Vec<CimOp>,

@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::OpKind;
@@ -7,9 +6,7 @@ use crate::OpKind;
 ///
 /// Ids are dense indices assigned in insertion order, which is also a valid
 /// creation order (builders only reference already-created nodes).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub usize);
 
 impl NodeId {
@@ -26,7 +23,7 @@ impl fmt::Display for NodeId {
 }
 
 /// A single operator instance in the graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Node {
     /// The node's identifier.
     pub id: NodeId,

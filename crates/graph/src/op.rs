@@ -1,9 +1,8 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Nonlinear activation functions executed on the chip's vector function
 /// unit (not on CIM arrays).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// Rectified linear unit (CNNs).
     Relu,
@@ -36,7 +35,7 @@ impl fmt::Display for Activation {
 /// attention `Q·Kᵀ` and `S·V` products), which is exactly the case where
 /// the paper stores one operand in memory-mode arrays and switches them to
 /// compute mode in place (§5.3).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Graph input with an explicit shape.
     Input {

@@ -1,18 +1,16 @@
-use serde::{Deserialize, Serialize};
-
 use cmswitch_arch::ArrayMode;
 
 use crate::{Stmt, SwitchKind};
 
 /// A complete meta-operator flow: the compiler's output for one network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Flow {
     name: String,
     stmts: Vec<Stmt>,
 }
 
 /// Aggregate statistics of a flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlowStats {
     /// Number of `CM.switch` statements.
     pub switch_ops: u64,

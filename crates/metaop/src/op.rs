@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 use cmswitch_arch::{ArrayId, ArrayMode};
 
 /// Direction of the two `CM.switch` types (Fig. 13): `TOM` switches arrays
 /// to memory mode, `TOC` to compute mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SwitchKind {
     /// `TOM`: switch the addressed arrays to memory mode.
     ToMemory,
@@ -31,7 +29,7 @@ impl SwitchKind {
 }
 
 /// Where data lives for a memory-access statement.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum MemLoc {
     /// Off-chip main memory.
     Main,
@@ -42,7 +40,7 @@ pub enum MemLoc {
 }
 
 /// Direction of a memory access relative to the chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemDirection {
     /// Read into the datapath.
     Read,
@@ -52,7 +50,7 @@ pub enum MemDirection {
 
 /// A CIM compute statement: one MMM/MVM operator mapped onto compute-mode
 /// arrays, streaming inputs from memory-mode arrays and/or main memory.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ComputeStmt {
     /// Operator name (graph layer).
     pub op: String,
@@ -80,7 +78,7 @@ pub struct ComputeStmt {
 
 /// A weight-load statement: writing an operator's `[K,N]` operand into its
 /// compute arrays (inter-segment step 3, Eq. 2).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WeightLoadStmt {
     /// Operator whose weights are loaded.
     pub op: String,
@@ -92,7 +90,7 @@ pub struct WeightLoadStmt {
 
 /// A bulk memory transfer (inter-segment write-back / reload, steps 1 and
 /// 3 of Fig. 10).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MemStmt {
     /// Source/destination.
     pub loc: MemLoc,
@@ -106,7 +104,7 @@ pub struct MemStmt {
 
 /// A vector-function-unit statement (softmax, norms, activations — the
 /// non-CIM operators).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct VectorStmt {
     /// Operator label.
     pub op: String,
@@ -115,7 +113,7 @@ pub struct VectorStmt {
 }
 
 /// One statement of the meta-operator flow (Fig. 13 `<operators>`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// `CM.switch(<type>, arrayaddr)`.
     Switch {

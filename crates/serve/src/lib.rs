@@ -20,10 +20,14 @@
 //!   possible (zero solver invocations after one priming run, across
 //!   process restarts).
 //!
-//! The queue is deliberately `std::sync` (`Mutex` + `Condvar`): the
-//! vendored `parking_lot` stand-in has no condition variables, and the
-//! server's contention profile — a handful of workers parking on one
-//! queue — is exactly what the std primitives are for.
+//! The queue is `std::sync` (`Mutex` + `Condvar`): the server's
+//! contention profile — a handful of workers parking on one queue — is
+//! exactly what the std primitives are for. A poisoned lock is
+//! recovered rather than propagated: the compile runs outside every
+//! lock, and each critical section is a single queue push/pop, flag or
+//! reply-slot write that leaves the data valid, so should one ever
+//! panic, recovery keeps that one crashed thread from turning every
+//! later request into a panic.
 //!
 //! # Example
 //!
@@ -45,7 +49,7 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -302,14 +306,18 @@ impl Ticket {
     /// until a worker finally dequeues the job. The cancellation is
     /// counted in [`ServerStats::cancelled`] exactly once.
     pub fn wait(self) -> ServeReply {
-        let mut slot = self.shared.reply.lock().expect("ticket lock poisoned");
+        let mut slot = lock(&self.shared.reply);
         loop {
             if let Some(reply) = slot.take_ready() {
                 return reply;
             }
             match self.shared.deadline {
                 None => {
-                    slot = self.shared.done.wait(slot).expect("ticket lock poisoned");
+                    slot = self
+                        .shared
+                        .done
+                        .wait(slot)
+                        .unwrap_or_else(PoisonError::into_inner);
                 }
                 Some(deadline) => {
                     let now = Instant::now();
@@ -336,7 +344,7 @@ impl Ticket {
                         .shared
                         .done
                         .wait_timeout(slot, deadline - now)
-                        .expect("ticket lock poisoned");
+                        .unwrap_or_else(PoisonError::into_inner);
                     slot = guard;
                 }
             }
@@ -345,11 +353,7 @@ impl Ticket {
 
     /// Returns the reply if it is already ready, without blocking.
     pub fn try_take(&self) -> Option<ServeReply> {
-        self.shared
-            .reply
-            .lock()
-            .expect("ticket lock poisoned")
-            .take_ready()
+        lock(&self.shared.reply).take_ready()
     }
 }
 
@@ -472,7 +476,7 @@ impl CompileServer {
             ticket: Arc::clone(&ticket_shared),
         };
         {
-            let mut state = self.shared.state.lock().expect("queue lock poisoned");
+            let mut state = lock(&self.shared.state);
             if state.shutdown {
                 self.shared.rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(SubmitError::ShutDown);
@@ -494,7 +498,7 @@ impl CompileServer {
 
     /// Requests currently waiting in the queue (excludes in-flight work).
     pub fn queue_len(&self) -> usize {
-        self.shared.state.lock().expect("queue lock poisoned").queue.len()
+        lock(&self.shared.state).queue.len()
     }
 
     /// Request counters since start.
@@ -521,7 +525,7 @@ impl CompileServer {
 impl Drop for CompileServer {
     fn drop(&mut self) {
         {
-            let mut state = self.shared.state.lock().expect("queue lock poisoned");
+            let mut state = lock(&self.shared.state);
             state.shutdown = true;
         }
         self.shared.available.notify_all();
@@ -542,10 +546,16 @@ impl fmt::Debug for CompileServer {
     }
 }
 
+/// Locks `mutex`, recovering the guard if another thread panicked while
+/// holding it (see the module docs for why that is sound here).
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
-            let mut state = shared.state.lock().expect("queue lock poisoned");
+            let mut state = lock(&shared.state);
             loop {
                 if let Some(job) = state.queue.pop_front() {
                     break job;
@@ -556,7 +566,7 @@ fn worker_loop(shared: &Shared) {
                 state = shared
                     .available
                     .wait(state)
-                    .expect("queue lock poisoned");
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let ticket = &job.ticket;
@@ -578,7 +588,7 @@ fn worker_loop(shared: &Shared) {
         // ticket on an expired deadline it already returned `Cancelled`
         // and counted itself, so the worker must neither install nor
         // count a second outcome for the same request.
-        let mut slot = ticket.reply.lock().expect("ticket lock poisoned");
+        let mut slot = lock(&ticket.reply);
         if matches!(*slot, ReplySlot::Abandoned) {
             continue;
         }

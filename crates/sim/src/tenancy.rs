@@ -352,8 +352,7 @@ fn segment_event(body: &[Stmt], arch: &DualModeArch) -> Event {
 
 /// Lowers a compiled flow into the arbiter's event stream. Statement
 /// order is preserved; every event is priced by the same kernel both
-/// simulators use, so a solo tenant costs exactly what the sequential
-/// model would charge for the same statements.
+/// simulators use.
 fn extract_events(flow: &Flow, arch: &DualModeArch) -> Vec<Event> {
     let mut events = Vec::with_capacity(flow.stmts().len());
     for stmt in flow.stmts() {

@@ -5,8 +5,6 @@
 //! integers. This module provides the symmetric per-tensor scheme used by
 //! the functional simulator.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Tensor, TensorError};
 
 /// A symmetric per-tensor int8 quantization of an `f32` tensor.
@@ -24,7 +22,7 @@ use crate::{Tensor, TensorError};
 /// assert!(t.allclose(&back, 0.02));
 /// # Ok::<(), cmswitch_tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedTensor {
     dims: Vec<usize>,
     scale: f32,

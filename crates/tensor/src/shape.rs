@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::TensorError;
@@ -20,7 +19,7 @@ use crate::TensorError;
 /// assert_eq!(s.strides(), vec![12, 4, 1]);
 /// assert_eq!(s.flat_index(&[1, 2, 3]), Some(23));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape {
     dims: Vec<usize>,
 }

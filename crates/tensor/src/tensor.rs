@@ -1,6 +1,5 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::{Shape, TensorError};
@@ -20,7 +19,7 @@ use crate::{Shape, TensorError};
 /// assert_eq!(t.numel(), 4);
 /// assert_eq!(t.get(&[1, 1]), Some(0.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

@@ -13,8 +13,8 @@
 
 use cmswitch::arch::presets;
 use cmswitch::baselines::{backend_for, BackendKind};
-use cmswitch::bench::harness::run_workload;
-use cmswitch::bench::workloads::build;
+use cmswitch_bench::harness::run_workload;
+use cmswitch_bench::workloads::build;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let arch = presets::dynaplasia();

@@ -11,8 +11,8 @@
 //! ```
 
 use cmswitch::arch::presets;
-use cmswitch::bench::experiments::mode_sweep::static_partition_cycles;
-use cmswitch::bench::workloads::scaled;
+use cmswitch_bench::experiments::mode_sweep::static_partition_cycles;
+use cmswitch_bench::workloads::scaled;
 use cmswitch::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

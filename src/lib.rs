@@ -15,7 +15,9 @@
 //! | [`sim`] | `cmswitch-sim` | dual-mode chip simulator |
 //! | [`dse`] | `cmswitch-dse` | architecture design-space exploration |
 //! | [`serve`] | `cmswitch-serve` | long-running compile server |
-//! | `bench` | `cmswitch-bench` | experiment harness (§5 figures) |
+//!
+//! The experiment harness that regenerates the §5 figures is the
+//! separate `cmswitch-bench` crate; it is not part of this facade.
 //!
 //! # Quickstart
 //!
@@ -51,9 +53,9 @@
 //!
 //! Baseline backends ride the same session (`SessionBackendExt` adds
 //! `.backend_kind(BackendKind::CimMlc)` to the builder), fleets batch
-//! through [`compiler::Session::compile_batch`] or the job-oriented
-//! [`compiler::CompileService`] over a worker pool with one shared
-//! [`compiler::AllocationCache`] (see `examples/batch_compile.rs`), and
+//! through [`compiler::Session::compile_batch`] over a worker pool with
+//! one shared [`compiler::AllocationCache`] (see
+//! `examples/batch_compile.rs`), and
 //! a [`compiler::CompileRequest::with_deadline`] aborts a compile
 //! mid-solve with [`compiler::CompileError::Cancelled`].
 //!
@@ -71,22 +73,9 @@
 //! ([`dse::SweepRunner`]), prices each with an analytic area/power
 //! model ([`dse::AreaPowerModel`]) and reports the Pareto frontier over
 //! latency, energy and area (see `examples/dse_frontier.rs`).
-//!
-//! # Migrating from the pre-session API
-//!
-//! The old entry points still work but are deprecated shims:
-//!
-//! * `Compiler::new(arch, options).compile(&g)` →
-//!   `Session::builder(arch).options(options).build().compile_graph(&g)`
-//! * `compiler.compile_with_cache(&g, &cache)` →
-//!   `Session::builder(arch).cache(cache).build().compile_graph(&g)`
-//! * `baselines::by_name(name, arch)` (now returning `Result`) →
-//!   `BackendKind::from_name(name)` + `baselines::backend_for(kind, arch)`,
-//!   or `.backend_kind(kind)` on the session builder.
 
 pub use cmswitch_arch as arch;
 pub use cmswitch_baselines as baselines;
-pub use cmswitch_bench as bench;
 pub use cmswitch_core as compiler;
 pub use cmswitch_dse as dse;
 pub use cmswitch_graph as graph;
@@ -100,15 +89,14 @@ pub use cmswitch_tensor as tensor;
 /// The items most programs need.
 pub mod prelude {
     pub use cmswitch_arch::{presets, ArrayMode, DualModeArch};
-    #[allow(deprecated)] // `by_name` stays re-exported for compatibility.
-    pub use cmswitch_baselines::{backend_for, by_name, SessionBackendExt};
+    pub use cmswitch_baselines::{backend_for, SessionBackendExt};
     pub use cmswitch_core::{
-        AllocationCache, ArtifactStore, Backend, BackendKind, BatchJob, BatchReport, CancelToken,
-        CompileError, CompileOutcome, CompileRequest, CompileService, CompileStats,
-        CompiledProgram, Compiler, CompilerOptions, DiagnosticEvent, Diagnostics, DpMode,
-        EmitStage, LowerStage, Lint, PartitionStage, PipelineCx, SegmentStage, ServiceOptions,
-        Session, SessionBuilder, Severity, Stage, StoreFetch, StoreKey, UnknownBackend, Verifier,
-        VerifyCx, VerifyFinding, VerifyReport, VerifyStage,
+        AllocationCache, ArtifactStore, Backend, BackendKind, BatchReport, CancelToken,
+        CompileError, CompileOutcome, CompileRequest, CompileStats, CompiledProgram,
+        CompilerOptions, DiagnosticEvent, Diagnostics, DpMode, EmitStage, Lint, LowerStage,
+        PartitionStage, PipelineCx, SegmentStage, Session, SessionBuilder, Severity, Stage,
+        StoreFetch, StoreKey, UnknownBackend, Verifier, VerifyCx, VerifyFinding, VerifyReport,
+        VerifyStage,
     };
     pub use cmswitch_dse::{
         AreaPowerModel, ChipCost, ParetoFrontier, SweepRecord, SweepReport, SweepRunner,

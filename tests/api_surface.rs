@@ -12,7 +12,6 @@ const EXPECTED: &[&str] = &[
     "ArtifactStore",
     "Backend",
     "BackendKind",
-    "BatchJob",
     "BatchReport",
     "CancelToken",
     "ChipCost",
@@ -22,10 +21,8 @@ const EXPECTED: &[&str] = &[
     "CompileOutcome",
     "CompileRequest",
     "CompileServer",
-    "CompileService",
     "CompileStats",
     "CompiledProgram",
-    "Compiler",
     "CompilerOptions",
     "DecodeLoop",
     "DecodeOptions",
@@ -50,7 +47,6 @@ const EXPECTED: &[&str] = &[
     "ServeReply",
     "ServeRequest",
     "ServerOptions",
-    "ServiceOptions",
     "Session",
     "SessionBackendExt",
     "SessionBuilder",
@@ -75,7 +71,6 @@ const EXPECTED: &[&str] = &[
     "VerifyReport",
     "VerifyStage",
     "backend_for",
-    "by_name",
     "presets",
     "print_flow",
     "simulate",
@@ -145,7 +140,6 @@ fn snapshot_items_exist_and_have_expected_shapes() {
     let _opts: CompilerOptions = CompilerOptions::default()
         .with_dp_mode(DpMode::BoundPruned)
         .with_partition_budget(1.0);
-    let _svc_opts: ServiceOptions = ServiceOptions::default().with_workers(1);
     let _token: CancelToken = CancelToken::new();
     let _diag: Diagnostics = Diagnostics::new();
     let _verifier: Verifier = Verifier::new();

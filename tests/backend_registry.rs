@@ -1,9 +1,7 @@
 //! Smoke test: backend selection exposed through the facade crate —
-//! `BackendKind` parsing, `backend_for` instantiation, the session
-//! builder's by-kind/by-name selection, and the deprecated `by_name`
-//! shim (now returning `Result` with a suggestion-bearing error).
-
-#![allow(deprecated)] // This suite intentionally exercises the `by_name` shim.
+//! `BackendKind` parsing (with a suggestion-bearing error),
+//! `backend_for` instantiation, name-based selection and the session
+//! builder's by-kind selection.
 
 use cmswitch::prelude::*;
 
@@ -25,17 +23,18 @@ fn session_builder_selects_backends_by_kind() {
 
 #[test]
 fn by_name_shim_resolves_all_published_backends() {
+    // Name-based selection is `BackendKind::from_name` + `backend_for`.
     for name in ["puma", "occ", "cim-mlc", "cmswitch"] {
-        let backend = by_name(name, presets::tiny())
+        let kind = BackendKind::from_name(name)
             .unwrap_or_else(|e| panic!("backend {name:?} must resolve: {e}"));
-        assert_eq!(backend.name(), name);
+        assert_eq!(backend_for(kind, presets::tiny()).name(), name);
     }
 }
 
 #[test]
 fn unknown_names_error_with_the_known_backend_list() {
     for bogus in ["", "gpu", "CMSWITCH", "cim_mlc", "puma "] {
-        let Err(err) = by_name(bogus, presets::tiny()) else {
+        let Err(err) = BackendKind::from_name(bogus) else {
             panic!("unknown backend {bogus:?} must not resolve");
         };
         assert_eq!(err.requested(), bogus);
@@ -44,7 +43,5 @@ fn unknown_names_error_with_the_known_backend_list() {
             msg.contains("known backends: puma, occ, cim-mlc, cmswitch"),
             "error must suggest the known names, got: {msg}"
         );
-        // The same suggestion text backs `BackendKind::from_name`.
-        assert_eq!(BackendKind::from_name(bogus), Err(err));
     }
 }

@@ -3,8 +3,8 @@
 
 use cmswitch::arch::presets;
 use cmswitch::baselines::{backend_for, BackendKind};
-use cmswitch::bench::harness::run_workload;
-use cmswitch::bench::workloads::build;
+use cmswitch_bench::harness::run_workload;
+use cmswitch_bench::workloads::build;
 use cmswitch::prelude::*;
 
 #[test]
@@ -98,8 +98,8 @@ fn compiled_flows_always_validate_and_roundtrip() {
     for model in ["resnet18", "bert-base"] {
         let w = build(model, 1, 32, 0, 0.06, 1).unwrap();
         let g = match &w {
-            cmswitch::bench::workloads::Workload::Single(g) => g.clone(),
-            cmswitch::bench::workloads::Workload::Generative(gen) => gen.prefill.clone(),
+            cmswitch_bench::workloads::Workload::Single(g) => g.clone(),
+            cmswitch_bench::workloads::Workload::Generative(gen) => gen.prefill.clone(),
         };
         let program = Session::builder(arch.clone()).build().compile_graph(&g)
             .unwrap();
@@ -118,7 +118,7 @@ fn predicted_latency_tracks_simulation() {
     for model in ["resnet18", "vgg11"] {
         let w = build(model, 1, 0, 0, 1.0, 1).unwrap();
         let g = match &w {
-            cmswitch::bench::workloads::Workload::Single(g) => g.clone(),
+            cmswitch_bench::workloads::Workload::Single(g) => g.clone(),
             _ => unreachable!("cnn"),
         };
         let program = Session::builder(arch.clone()).build().compile_graph(&g)
