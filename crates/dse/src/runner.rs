@@ -13,7 +13,7 @@
 //!   fingerprint. Re-sweeping a point the *same runner* already
 //!   evaluated returns the memoized record without recompiling,
 //!   re-verifying or re-simulating — the steady state of a long-lived
-//!   explorer, and the warm-re-sweep speedup `BENCH_dse.json` records.
+//!   explorer.
 //! * **L1 — allocation cache.** Shared across points and runners; keyed
 //!   on the architecture fingerprint, so distinct points never
 //!   cross-contaminate while *new* points with repeated segments skip

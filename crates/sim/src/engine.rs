@@ -54,29 +54,8 @@ use crate::tenancy::{ChipScheduler, CoSimOptions, TenancyError, TenancyReport, T
 
 use crate::stats::{
     ArrayTimeline, BusyBreakdown, BusyInterval, BusyKind, CriticalStep, EngineReport,
-    SegmentWindow, SimReport,
+    SegmentWindow,
 };
-use crate::timing;
-
-/// The sequential reference model: the event engine must never report a
-/// longer makespan than this replay, and on single-segment flows the
-/// two match bit-exactly (see `tests/sim_invariants.rs`).
-///
-/// A thin, named wrapper over [`crate::timing::simulate`] so harnesses
-/// can hold "a simulator" without committing to one implementation.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SequentialModel;
-
-impl SequentialModel {
-    /// Replays `flow` strictly in statement order.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MetaOpError`] if the flow violates mode discipline.
-    pub fn simulate(&self, flow: &Flow, arch: &DualModeArch) -> Result<SimReport, MetaOpError> {
-        timing::simulate(flow, arch)
-    }
-}
 
 /// Analytic lower bound on any schedule of `flow` on `arch`: the
 /// slowest compute statement priced by the Eq. 9/10 relaxation with the
@@ -917,6 +896,7 @@ impl SessionSimExt for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timing;
     use cmswitch_arch::presets;
     use cmswitch_core::{CompileRequest, Session};
     use cmswitch_metaop::{ComputeStmt, MemDirection, MemStmt, WeightLoadStmt};
@@ -966,7 +946,7 @@ mod tests {
             bytes: 2048,
             label: "final output".into(),
         }));
-        let seq = SequentialModel.simulate(&flow, &arch).unwrap();
+        let seq = timing::simulate(&flow, &arch).unwrap();
         let eng = EventEngine::new().simulate(&flow, &arch).unwrap();
         assert_eq!(eng.total_cycles.to_bits(), seq.total_cycles.to_bits());
         assert_eq!(eng.serialized_cycles.to_bits(), seq.total_cycles.to_bits());
@@ -1002,7 +982,7 @@ mod tests {
             load("b", vec![ArrayId(2), ArrayId(3)]),
             compute("b", vec![ArrayId(2), ArrayId(3)], 64),
         ]));
-        let seq = SequentialModel.simulate(&flow, &arch).unwrap();
+        let seq = timing::simulate(&flow, &arch).unwrap();
         let eng = EventEngine::new().simulate(&flow, &arch).unwrap();
         assert!(
             eng.total_cycles < seq.total_cycles,
@@ -1087,7 +1067,7 @@ mod tests {
         let g = cmswitch_models::mlp::mlp(2, &[256, 512, 256, 128]).unwrap();
         let session = Session::builder(arch.clone()).build();
         let program = session.compile_graph(&g).unwrap();
-        let seq = SequentialModel.simulate(&program.flow, &arch).unwrap();
+        let seq = timing::simulate(&program.flow, &arch).unwrap();
         let eng = EventEngine::new().simulate_program(&program, &arch).unwrap();
         assert!(eng.total_cycles <= seq.total_cycles);
         assert_eq!(eng.serialized_cycles.to_bits(), seq.total_cycles.to_bits());

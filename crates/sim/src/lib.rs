@@ -12,7 +12,7 @@
 //!   latency/energy breakdown, array-utilization histogram, critical
 //!   path) and is surfaced through the `Session` API by
 //!   [`SessionSimExt`].
-//! * [`timing`] is the sequential reference model ([`SequentialModel`]):
+//! * [`timing`] is the sequential reference model ([`timing::simulate`]):
 //!   it executes a compiled meta-operator flow statement by statement
 //!   against the chip state, charging the Table 2 latencies. The event
 //!   engine prices statements through the same [`model`] kernel and
@@ -36,12 +36,12 @@
 //! ```
 //! use cmswitch_arch::presets;
 //! use cmswitch_core::Session;
-//! use cmswitch_sim::{EventEngine, SequentialModel};
+//! use cmswitch_sim::{timing, EventEngine};
 //!
 //! let graph = cmswitch_models::mlp::mlp(2, &[128, 256, 64]).unwrap();
 //! let session = Session::builder(presets::tiny()).build();
 //! let program = session.compile_graph(&graph).unwrap();
-//! let sequential = SequentialModel.simulate(&program.flow, session.arch()).unwrap();
+//! let sequential = timing::simulate(&program.flow, session.arch()).unwrap();
 //! let pipelined = EventEngine::new()
 //!     .simulate_program(&program, session.arch())
 //!     .unwrap();
@@ -61,9 +61,7 @@ pub mod tenancy;
 pub mod timing;
 
 pub use energy::{EnergyModel, EnergyReport};
-pub use engine::{
-    latency_lower_bound, EventEngine, SequentialModel, SessionSimExt, SimulationOutcome,
-};
+pub use engine::{latency_lower_bound, EventEngine, SessionSimExt, SimulationOutcome};
 pub use stats::{
     utilization_percent, ArrayTimeline, BusyBreakdown, BusyInterval, BusyKind, CriticalStep,
     EngineReport, ModeOccupancy, SegmentTiming, SegmentWindow, SimReport,

@@ -452,11 +452,8 @@ fn arbitrate(
                 }
                 needs_flip = pending > 0;
             } else {
-                for (a, mode) in &ev.arrays {
+                for (a, _) in &ev.arrays {
                     start = start.max(array_free[a.0 as usize]);
-                    if modes[a.0 as usize] != *mode {
-                        // An injected re-switch will be needed.
-                    }
                 }
                 if ev.bus > 0.0 {
                     start = start.max(bus_free);

@@ -6,7 +6,7 @@
 //! longer fits its partition the loop re-segments it mid-flight
 //! through a partition sub-session — hitting the parent session's
 //! allocation cache, so a warm re-run plans without a single allocator
-//! solve. A time-sliced co-simulation of the same programs shows the
+//! solve. The partitioned co-simulation of the final programs shows the
 //! chip outrunning back-to-back single-tenant execution.
 //!
 //! ```text
@@ -109,8 +109,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         warm.resegmentations + warm.tenants.len() as u64
     );
 
-    // Time-sliced co-scheduling of the final programs beats running
-    // the tenants back-to-back on the same chip.
+    // Partitioned co-scheduling of the final programs (the decode
+    // loop's own report) beats running the tenants back-to-back on the
+    // same chip.
     let report = &cold.tenancy;
     println!(
         "co-scheduled step: {:.0} cycles vs {:.0} serialized ({:.2}x), fairness {:.3}",

@@ -108,7 +108,7 @@ pub mod prelude {
     pub use cmswitch_sim::timing::simulate;
     pub use cmswitch_sim::{
         ChipScheduler, CoSimOptions, DecodeLoop, DecodeOptions, DecodeTenant, EngineReport,
-        EventEngine, SequentialModel, SessionSimExt, SimulationOutcome, TenancyPolicy,
-        TenancyReport, TenantProgram,
+        EventEngine, SessionSimExt, SimulationOutcome, TenancyPolicy, TenancyReport,
+        TenantProgram,
     };
 }

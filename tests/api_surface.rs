@@ -43,7 +43,6 @@ const EXPECTED: &[&str] = &[
     "PartitionStage",
     "PipelineCx",
     "SegmentStage",
-    "SequentialModel",
     "ServeReply",
     "ServeRequest",
     "ServerOptions",

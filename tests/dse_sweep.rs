@@ -146,6 +146,37 @@ fn shared_cache_warms_across_runners() {
 }
 
 #[test]
+fn fresh_runner_over_a_shared_store_is_solve_free() {
+    let dir = std::env::temp_dir().join(format!("cmswitch-dse-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ArtifactStore::open(&dir).unwrap();
+    let grid = SweepSpace::around(presets::tiny())
+        .with_array_counts([4, 8])
+        .instantiate();
+    let cold = SweepRunner::new(workload())
+        .with_store(std::sync::Arc::clone(&store))
+        .run(&grid);
+    assert!(cold.failed.is_empty());
+    assert!(cold.solves > 0);
+
+    // A fresh runner has an empty record memo and allocation cache but
+    // shares the store: every compile is served from disk, so the sweep
+    // re-verifies and re-simulates but never solves.
+    let disk_warm = SweepRunner::new(workload())
+        .with_store(std::sync::Arc::clone(&store))
+        .run(&grid);
+    assert_eq!(disk_warm.solves, 0, "disk-warm sweep must be solve-free");
+    assert!(disk_warm.store_hits > 0, "store must serve the fresh runner");
+    assert_eq!(disk_warm.point_hits, 0, "a fresh runner has no record memo");
+    assert_eq!(disk_warm.records.len(), cold.records.len());
+    for (c, w) in cold.records.iter().zip(&disk_warm.records) {
+        assert_eq!(c.latency_cycles, w.latency_cycles, "drift at {}", c.spec);
+        assert_eq!(c.energy_pj, w.energy_pj, "drift at {}", c.spec);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn empty_sweep_has_empty_frontier() {
     let report = SweepRunner::new(workload()).run(&SweepGrid::default());
     assert!(report.records.is_empty());

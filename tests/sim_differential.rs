@@ -28,16 +28,13 @@ fn engine_dominates_sequential_across_registry() {
     let arch = presets::dynaplasia();
     let session = Session::builder(arch.clone()).build();
     let engine = EventEngine::new();
-    let sequential = SequentialModel;
     let energy_model = EnergyModel::default();
 
     let mut strict_overlaps = Vec::new();
     for &model in registry::ALL_MODELS {
         let graph = registry::build(model, 1, 16).expect("registered model builds");
         let program = session.compile_graph(&graph).expect("compiles");
-        let seq = sequential
-            .simulate(&program.flow, &arch)
-            .expect("sequential replay");
+        let seq = simulate(&program.flow, &arch).expect("sequential replay");
         let eng = engine
             .simulate_program(&program, &arch)
             .expect("event schedule");

@@ -63,7 +63,7 @@ proptest! {
         let session = Session::builder(arch.clone()).build();
         let program = session.compile_graph(&graph).expect("mlp compiles");
 
-        let seq = SequentialModel.simulate(&program.flow, &arch).expect("sequential");
+        let seq = simulate(&program.flow, &arch).expect("sequential");
         let eng = EventEngine::new().simulate_program(&program, &arch).expect("engine");
 
         // Makespan sits between the analytic lower bound and the
@@ -183,7 +183,7 @@ proptest! {
     ) {
         let arch = preset(preset_idx);
         let flow = single_segment_flow(&arch, &ms, &ks, &static_flags, &aux_flags);
-        let seq = SequentialModel.simulate(&flow, &arch).expect("valid flow");
+        let seq = simulate(&flow, &arch).expect("valid flow");
         let eng = EventEngine::new().simulate(&flow, &arch).expect("valid flow");
         // Single-segment flows admit no overlap, so the two models must
         // coincide exactly, not merely agree approximately.

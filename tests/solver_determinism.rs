@@ -83,12 +83,17 @@ fn registry_plans_identical_at_every_worker_count_on_all_backends() {
         } else {
             &[4]
         };
+        // Registry-summed (dp_windows_pruned, warm_accepted) at 1 worker,
+        // then at each `sweep` count.
+        let mut sums = vec![(0u64, 0u64); 1 + sweep.len()];
         for &model in registry::ALL_MODELS {
             let graph = registry::build(model, 1, 8).expect("registered model");
             let base = session(kind, 1, model)
                 .compile_graph(&graph)
                 .expect("sequential baseline compiles");
-            for &workers in sweep {
+            sums[0].0 += base.stats.dp_windows_pruned;
+            sums[0].1 += base.stats.warm_accepted;
+            for (i, &workers) in sweep.iter().enumerate() {
                 let p = session(kind, workers, model)
                     .compile_graph(&graph)
                     .expect("parallel compile succeeds");
@@ -97,6 +102,18 @@ fn registry_plans_identical_at_every_worker_count_on_all_backends() {
                     &p,
                     &format!("{model} on {} at {workers} workers", kind.name()),
                 );
+                sums[i + 1].0 += p.stats.dp_windows_pruned;
+                sums[i + 1].1 += p.stats.warm_accepted;
+            }
+        }
+        // On the default backend the bound pruning and the injected warm
+        // starts must actually fire at every worker count, or the
+        // identity above holds only because the fast paths never ran.
+        if kind == BackendKind::CmSwitch {
+            let counts = std::iter::once(&1).chain(sweep);
+            for (workers, &(pruned, accepted)) in counts.zip(&sums) {
+                assert!(pruned > 0, "DP pruned no windows at {workers} workers");
+                assert!(accepted > 0, "no warm start accepted at {workers} workers");
             }
         }
     }

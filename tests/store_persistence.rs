@@ -1,11 +1,10 @@
 //! The persistent artifact store across (simulated) process restarts.
 //!
-//! The contract under test is the tentpole acceptance criterion: after
-//! one priming run, a **fresh session over the same store directory**
-//! compiles the whole registry with *zero* allocator solves and at
-//! least 3× faster than the cold run — plus the integrity half of the
-//! story: corrupt or verifier-rejected artifacts are never served, but
-//! recompiled and overwritten in place.
+//! The contract under test: after one priming run, a **fresh session
+//! over the same store directory** compiles the whole registry with
+//! *zero* allocator solves and at least 3× faster than the cold run —
+//! plus the integrity half of the story: corrupt or verifier-rejected
+//! artifacts are never served, but recompiled and overwritten in place.
 
 use std::sync::Arc;
 use std::time::Instant;

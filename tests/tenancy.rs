@@ -152,3 +152,51 @@ fn reseg_final_plan_matches_cold_compile_at_grown_kv() {
     assert_eq!(warm.resegmentations, report.resegmentations);
     assert_eq!(warm.total_cycles, report.total_cycles);
 }
+
+/// Four staggered small decoders on one chip: KV growth forces
+/// mid-flight re-segmentation, the partitioned co-schedule beats
+/// running the tenants back-to-back, and a warm re-run is solve-free
+/// with a bit-identical makespan.
+#[test]
+fn four_tenant_decode_resegments_and_rewarms_solve_free() {
+    let session = Session::builder(presets::dynaplasia()).build();
+    let run = |session: &Session| -> DecodeReport {
+        let mut decode = DecodeLoop::new(session).with_options(DecodeOptions {
+            steps: 4,
+            kv_headroom_bytes: 2048,
+            ..DecodeOptions::default()
+        });
+        for i in 0..4 {
+            let cfg = TransformerConfig {
+                layers: 1,
+                ..tiny_llm(&format!("tenant{i}"))
+            };
+            // Staggered starting KV lengths re-segment tenants on
+            // different steps, like real continuous batching.
+            decode = decode.tenant(DecodeTenant::new(
+                format!("tenant{i}"),
+                1,
+                8 + 4 * i,
+                1024,
+                move |kv| decode_step(&cfg, 1, kv),
+            ));
+        }
+        decode.run().expect("decode loop runs")
+    };
+
+    let cold = run(&session);
+    assert!(
+        cold.resegmentations > 0,
+        "KV growth must force a re-segmentation"
+    );
+    assert!(
+        cold.tenancy.total_cycles < cold.tenancy.serialized_cycles,
+        "co-scheduled {} must beat serialized {}",
+        cold.tenancy.total_cycles,
+        cold.tenancy.serialized_cycles
+    );
+
+    let warm = run(&session);
+    assert_eq!(warm.solves, 0, "warm re-run must be solve-free");
+    assert_eq!(warm.total_cycles.to_bits(), cold.total_cycles.to_bits());
+}
